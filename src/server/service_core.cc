@@ -810,6 +810,18 @@ Response ServiceCore::DoStats(const Request& req) {
                           db->commit_pipeline().batches_logged());
   resp.stats.emplace_back("pipeline_groups_flushed",
                           db->commit_pipeline().groups_flushed());
+  // Storage gauges, plain relaxed loads: what the version store pins.
+  // A mapped slab stays mapped until the store closes, so
+  // arena_slabs_allocated slabs bound its resident version memory, of
+  // which arena_slabs_freed - arena_slabs_recycled sit idle on free
+  // lists; divided by store_keys that is the per-key footprint.
+  const ObjectStore& store = db->store();
+  const VersionArena::Stats arena = store.ArenaStats();
+  resp.stats.emplace_back("store_keys", store.NumKeys());
+  resp.stats.emplace_back("arena_bytes_carved", arena.bytes_carved);
+  resp.stats.emplace_back("arena_slabs_allocated", arena.slabs_allocated);
+  resp.stats.emplace_back("arena_slabs_recycled", arena.slabs_recycled);
+  resp.stats.emplace_back("arena_slabs_freed", arena.slabs_freed);
   if (router_ != nullptr) {
     resp.stats.emplace_back("router_reads_to_replica",
                             router_->reads_to_replica());

@@ -1,5 +1,7 @@
 #include "storage/version_arena.h"
 
+#include <sys/mman.h>
+
 #include <cstdint>
 #include <new>
 
@@ -18,6 +20,21 @@ size_t RoundUp(size_t bytes) {
 }
 
 void HeapBlockDeleter(void* p) { ::operator delete(p); }
+
+// Maps `bytes` of anonymous memory aligned to `bytes` (a power of two):
+// over-maps by one slab and unmaps the misaligned head and the tail, so
+// the slab is its own mapping and munmap(slab, bytes) returns all of it.
+void* MapAlignedSlab(size_t bytes) {
+  void* raw = mmap(nullptr, 2 * bytes, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  MVCC_CHECK(raw != MAP_FAILED);
+  const uintptr_t base = reinterpret_cast<uintptr_t>(raw);
+  const uintptr_t aligned = (base + bytes - 1) & ~(uintptr_t{bytes} - 1);
+  const size_t head = aligned - base;
+  if (head != 0) munmap(raw, head);
+  munmap(reinterpret_cast<void*>(aligned + bytes), bytes - head);
+  return reinterpret_cast<void*>(aligned);
+}
 
 }  // namespace
 
@@ -52,9 +69,7 @@ VersionArena* VersionArena::Default() {
 VersionArena::VersionArena(size_t slab_bytes) : slab_bytes_(slab_bytes) {}
 
 VersionArena::~VersionArena() {
-  for (Slab* slab : all_slabs_) {
-    ::operator delete(slab, std::align_val_t(slab_bytes_));
-  }
+  for (Slab* slab : all_slabs_) munmap(slab, slab_bytes_);
 }
 
 void VersionArena::Ref() { refs_.fetch_add(1, std::memory_order_relaxed); }
@@ -87,8 +102,7 @@ VersionArena::Slab* VersionArena::InstallSlabLocked() {
     free_slabs_.pop_back();
     slabs_recycled_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    void* mem = ::operator new(slab_bytes_, std::align_val_t(slab_bytes_));
-    slab = new (mem) Slab;
+    slab = new (MapAlignedSlab(slab_bytes_)) Slab;
     slab->owner = this;
     all_slabs_.push_back(slab);
     slabs_allocated_.fetch_add(1, std::memory_order_relaxed);

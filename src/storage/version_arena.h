@@ -26,6 +26,10 @@ namespace mvcc {
 // traffic under sustained write load.
 //
 // Lifecycle of a slab:
+//   mapped    - taken straight from the OS with mmap, aligned to its
+//               own size (Release's address mask needs that), never
+//               from the malloc heap. Its pages are faulted in only as
+//               the bump pointer reaches them.
 //   open      - the arena's current carve target. Holds a +1 "open"
 //               bias on its live count so it can never be reclaimed
 //               while allocations may still land in it.
@@ -38,6 +42,12 @@ namespace mvcc {
 //   recycled  - the grace period elapsed (no reader pinned at or before
 //               the retirement epoch can hold a pointer into the slab),
 //               and the slab returns to the arena's free list for reuse.
+//   unmapped  - the arena was deleted (after Close and the last
+//               recycle): every slab it ever mapped is munmapped, so the
+//               memory goes back to the OS at once. This is why slabs
+//               are not heap blocks: glibc keeps freed heap memory for
+//               reuse, so a store closed and reopened in one process
+//               grew RSS on every cycle.
 //
 // Why reuse is safe (the ABA case the tests pin): a reader holding a
 // pointer into slab memory — a version array mid-binary-search, a
@@ -75,7 +85,7 @@ class VersionArena {
   struct Stats {
     uint64_t allocs = 0;          // blocks carved (slab or heap)
     uint64_t bytes_carved = 0;    // bytes handed out (after rounding)
-    uint64_t slabs_allocated = 0; // fresh slabs from the heap
+    uint64_t slabs_allocated = 0; // fresh slabs mapped from the OS
     uint64_t slabs_recycled = 0;  // reuses off the free list
     uint64_t slabs_retired = 0;   // dead slabs handed to the EBR
     uint64_t slabs_freed = 0;     // retirements returned by the EBR

@@ -39,7 +39,9 @@ VersionChain::VersionChain(VersionArena* arena, StripedCounter* version_counter)
     : arena_(arena != nullptr ? arena : VersionArena::Default()),
       version_counter_(version_counter),
       array_(nullptr) {
-  array_.store(MakeArray(kInitialCapacity), std::memory_order_relaxed);
+  // One slot: enough for the version a cold key is created with, and
+  // nothing for versions it may never get (see Republish).
+  array_.store(MakeArray(1), std::memory_order_relaxed);
 }
 
 VersionChain::~VersionChain() {
@@ -168,16 +170,20 @@ void VersionChain::Republish(VersionArray* old, size_t start, size_t count,
   const size_t live = count - start;
   const size_t kept = live - (drop != SIZE_MAX ? 1 : 0);
   const size_t new_count = kept + (v != nullptr ? 1 : 0);
-  // Capacity policy: always leave kReserveAhead appendable slots so the
-  // in-order installs that follow a republish go in place, grow
-  // geometrically past that, and shrink only when the survivors occupy
-  // under an eighth of the array. Sizing tightly to new_count looks
-  // tidy but forces the next few installs to republish again — under
-  // install/prune churn that alternation made writes allocate on almost
-  // every call.
-  size_t capacity =
-      std::max(kInitialCapacity, static_cast<size_t>(old->capacity));
-  if (new_count + kReserveAhead > capacity) {
+  // Capacity policy. A chain's one-slot starting array moves into a
+  // kInitialCapacity-slot array: a key written once is probably written
+  // again, and from here on it has the array and in-place appends it
+  // would have had if it had started with spare slots. Past that,
+  // always leave kReserveAhead appendable slots so the in-order
+  // installs that follow a republish go in place, grow geometrically,
+  // and shrink only when the survivors occupy under an eighth of the
+  // array. Sizing tightly to new_count looks tidy but forces the next
+  // few installs to republish again — under install/prune churn that
+  // alternation made writes allocate on almost every call.
+  size_t capacity = old->capacity;
+  if (capacity < kInitialCapacity) {
+    capacity = kInitialCapacity;  // new_count <= 2 here
+  } else if (new_count + kReserveAhead > capacity) {
     capacity = std::max(capacity * 2, new_count + kReserveAhead);
   } else if (capacity > kInitialCapacity && new_count * 8 <= capacity) {
     capacity /= 2;

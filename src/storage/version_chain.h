@@ -50,11 +50,15 @@ ChainWriteStats GetChainWriteStats();
 //   - Arrays and payloads are carved from a VersionArena slab;
 //     reclamation is batched per slab through epoch-based reclamation
 //     instead of per array (see version_arena.h).
-//   - In-order installs (commits arriving in tn order — the common
-//     case) append into reserve-ahead spare capacity and publish by
-//     bumping `count`; arrays are sized with headroom so a republish
-//     happens only on geometric growth, an out-of-order install, or a
-//     Remove rollback.
+//   - A new chain carves a one-slot array: most keys of a large store
+//     are written once (a preload, a load, a cold row) and then only
+//     read, so they hold exactly the version they have and no spare
+//     slots. A key's second install republishes into a
+//     kInitialCapacity-slot array; from there, in-order installs
+//     (commits arriving in tn order — the common case) append into
+//     reserve-ahead spare capacity and publish by bumping `count`, so a
+//     republish happens only on geometric growth, an out-of-order
+//     install, or a Remove rollback.
 //   - Prune drops a prefix by bumping `start` — O(1), no allocation, no
 //     copy; the array compacts for free at its next republish.
 // Blocking-on-pending-writes semantics belong to the concurrency
@@ -175,6 +179,16 @@ class VersionChain {
   // Largest committed version number, or kInvalidTxnNumber if empty.
   VersionNumber LatestNumber() const;
 
+  // Slots in the array a chain's first republish (normally its second
+  // install) moves into; a new chain starts with one slot.
+  static constexpr size_t kInitialCapacity = 8;
+
+  // Bytes a version array of `capacity` slots asks the arena for
+  // (header + slots, before the arena's 16-byte rounding).
+  static size_t ArrayBytes(size_t capacity) {
+    return VersionArray::AllocBytes(capacity);
+  }
+
  private:
   // One committed version as stored: trivially copyable and trivially
   // destructible, so republishes are memcpys and slab reclamation never
@@ -255,7 +269,6 @@ class VersionChain {
   void Republish(VersionArray* old, size_t start, size_t count,
                  size_t insert_at, const VersionSlot* v, size_t drop);
 
-  static constexpr size_t kInitialCapacity = 8;
   // Republishes reserve room for this many further in-order installs on
   // top of geometric growth, so a freshly compacted or grown array
   // never republishes again for a handful of appends.

@@ -21,6 +21,57 @@ TEST(ObjectStoreTest, PreloadCreatesInitialVersions) {
   EXPECT_EQ(chain->Read(0)->writer, 0u);  // T0
 }
 
+size_t RoundUp16(size_t bytes) { return (bytes + 15) & ~size_t{15}; }
+
+// The per-key storage budget, by count: a preloaded key carves a
+// one-slot version array and its payload, nothing more. Headroom for
+// versions a key may never get must not creep back in unnoticed.
+TEST(ObjectStoreTest, ColdKeyCarvesOneSlotAndFirstWriteRepublishesOnce) {
+  constexpr uint64_t kKeys = 1000;
+  const Value value(100, 'v');
+  const size_t one_slot = RoundUp16(VersionChain::ArrayBytes(1));
+  const size_t payload = RoundUp16(value.size());
+  ASSERT_EQ(one_slot, 48u);
+  ASSERT_EQ(payload, 112u);
+
+  ObjectStore store(8);
+  store.Preload(kKeys, value);
+  EXPECT_EQ(store.ArenaStats().bytes_carved, kKeys * (one_slot + payload));
+  EXPECT_EQ(one_slot + payload, 160u);  // bytes per cold key
+
+  // The key's first write moves it into a kInitialCapacity-slot array,
+  // exactly once; the array then takes in-order installs in place until
+  // it is full.
+  VersionChain* chain = store.Find(7);
+  ASSERT_NE(chain, nullptr);
+  const ChainWriteStats w0 = GetChainWriteStats();
+  const uint64_t carved0 = store.ArenaStats().bytes_carved;
+  chain->Install(Version{1, value, 1});
+  const ChainWriteStats w1 = GetChainWriteStats();
+  EXPECT_EQ(w1.republishes - w0.republishes, 1u);
+  EXPECT_EQ(w1.installs_in_place - w0.installs_in_place, 0u);
+  EXPECT_EQ(store.ArenaStats().bytes_carved - carved0,
+            RoundUp16(VersionChain::ArrayBytes(VersionChain::kInitialCapacity)) +
+                payload);
+
+  const uint64_t carved1 = store.ArenaStats().bytes_carved;
+  constexpr size_t kInPlace = VersionChain::kInitialCapacity - 2;
+  for (VersionNumber n = 2; n < 2 + kInPlace; ++n) {
+    chain->Install(Version{n, value, 1});
+  }
+  const ChainWriteStats w2 = GetChainWriteStats();
+  EXPECT_EQ(w2.republishes - w1.republishes, 0u);
+  EXPECT_EQ(w2.installs_in_place - w1.installs_in_place, kInPlace);
+  EXPECT_EQ(store.ArenaStats().bytes_carved - carved1, kInPlace * payload);
+  EXPECT_EQ(chain->size(), VersionChain::kInitialCapacity);
+
+  // Full: the next install grows the array.
+  chain->Install(Version{2 + kInPlace, value, 1});
+  EXPECT_EQ(GetChainWriteStats().republishes - w2.republishes, 1u);
+  EXPECT_EQ(chain->Read(1)->version, 1u);
+  EXPECT_EQ(chain->Read(0)->value, value);
+}
+
 TEST(ObjectStoreTest, FindMissingReturnsNull) {
   ObjectStore store;
   EXPECT_EQ(store.Find(7), nullptr);

@@ -5,6 +5,7 @@
 // acquisition (and no silent data race) is reachable from a read-only
 // transaction's read.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "common/epoch.h"
+#include "common/random.h"
 #include "storage/object_store.h"
 #include "storage/version_arena.h"
 #include "storage/version_chain.h"
@@ -320,6 +322,141 @@ TEST(ReadPathStressTest, StoreIndexFindVsGetOrCreateAndResize) {
   EXPECT_EQ(violations.load(), 0u);
   EXPECT_EQ(store.NumKeys(), kCreators * kKeysPerCreator);
   EXPECT_EQ(store.TotalVersions(), kCreators * kKeysPerCreator);
+}
+
+// ---------------------------------------------------------------------
+// Cold-chain transition: a preloaded chain holds one version in a
+// one-slot array, and the key's first write republishes it into a
+// kInitialCapacity-slot array. Readers pinned at old snapshots (the
+// preload's among them) must ride through that swap, and the in-place
+// appends, growth republishes and prunes after it, on every key.
+// ---------------------------------------------------------------------
+
+TEST(ReadPathStressTest, OldSnapshotReadersAcrossColdChainFirstWrite) {
+  constexpr uint64_t kKeys = 256;
+  constexpr int kWriters = 2;
+  constexpr int kReaders = 3;
+  // Key k's j-th write installs version j * kStride on it.
+  constexpr uint64_t kStride = 4;
+  const uint64_t kRounds = 12 * kStressScale;
+  const std::string kPreloaded = "preloaded";
+  auto value_for = [&](ObjectKey key, VersionNumber n) {
+    return n == 0 ? kPreloaded : std::to_string(key) + "@" + ValueFor(n);
+  };
+
+  ObjectStore store(4);
+  store.Preload(kKeys, kPreloaded);
+  const uint64_t republishes_before = GetChainWriteStats().republishes;
+
+  // rounds[w] = rounds writer w has completed on every key it owns.
+  std::atomic<uint64_t> rounds[kWriters];
+  for (auto& r : rounds) r.store(0);
+  auto min_rounds = [&] {
+    uint64_t m = rounds[0].load(std::memory_order_seq_cst);
+    for (int w = 1; w < kWriters; ++w) {
+      m = std::min(m, rounds[w].load(std::memory_order_seq_cst));
+    }
+    return m;
+  };
+  std::atomic<bool> stop{false};
+  // Every reader starts pinned at the preload snapshot, before any write.
+  std::atomic<uint64_t> active[kReaders];
+  for (auto& a : active) a.store(0);
+
+  std::atomic<uint64_t> violations{0};
+  std::mutex first_mu;
+  std::string first_violation;
+  auto report = [&](const std::string& what) {
+    violations.fetch_add(1);
+    std::lock_guard<std::mutex> lock(first_mu);
+    if (first_violation.empty()) first_violation = what;
+  };
+
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&, w] {
+      for (uint64_t j = 1; j <= kRounds; ++j) {
+        const VersionNumber n = j * kStride;
+        for (ObjectKey k = w; k < kKeys; k += kWriters) {
+          store.Find(k)->Install(Version{n, value_for(k, n), TxnId(w + 1)});
+        }
+        rounds[w].store(j, std::memory_order_seq_cst);
+        std::this_thread::yield();
+      }
+    });
+  }
+
+  // Pruner: the real GC rule, min(floor, oldest pinned reader).
+  std::thread pruner([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      uint64_t watermark = min_rounds() * kStride;
+      for (const auto& a : active) {
+        watermark = std::min(watermark, a.load(std::memory_order_seq_cst));
+      }
+      store.PruneAll(watermark);
+      EpochManager::Global().Advance();
+      std::this_thread::yield();
+    }
+  });
+
+  // Reader 0 holds the preload snapshot until it has read at it after
+  // the writers are halfway through; the others hold each snapshot for
+  // a random run of reads and then re-pin at the current floor.
+  std::atomic<bool> old_read_after_half{false};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      Random rng(0x51ed + t);
+      uint64_t sn = 0;
+      uint64_t reads_left = 200 + rng.Uniform(2000);
+      while (!stop.load(std::memory_order_acquire) ||
+             (t == 0 && !old_read_after_half.load())) {
+        const bool hold_old = t == 0 && !old_read_after_half.load();
+        if (!hold_old && reads_left == 0) {
+          // Pin first, then snapshot — the Database::Begin discipline.
+          active[t].store(min_rounds() * kStride, std::memory_order_seq_cst);
+          sn = min_rounds() * kStride + rng.Uniform(kStride);
+          reads_left = 200 + rng.Uniform(2000);
+        }
+        const uint64_t done = min_rounds();
+        const ObjectKey key = rng.Uniform(kKeys);
+        // Every version <= sn is installed (sn < (floor + 1) * kStride),
+        // and no prune passes a pinned reader.
+        const VersionNumber expect = sn / kStride * kStride;
+        const auto read = store.Find(key)->Read(sn);
+        if (!read.ok()) {
+          report("key " + std::to_string(key) + ": Read(" +
+                 std::to_string(sn) + ") " + read.status().ToString());
+        } else if (read->version != expect) {
+          report("key " + std::to_string(key) + ": Read(" +
+                 std::to_string(sn) + ") = " + std::to_string(read->version) +
+                 ", want " + std::to_string(expect));
+        } else if (read->value != value_for(key, expect)) {
+          report("torn read at key " + std::to_string(key) + " version " +
+                 std::to_string(expect));
+        }
+        if (hold_old && done >= (kRounds + 1) / 2) old_read_after_half = true;
+        if (reads_left > 0) --reads_left;
+      }
+      active[t].store(kIdleSn, std::memory_order_seq_cst);
+    });
+  }
+
+  for (auto& w : writers) w.join();
+  stop.store(true, std::memory_order_release);
+  pruner.join();
+  for (auto& r : readers) r.join();
+
+  EXPECT_EQ(violations.load(), 0u) << first_violation;
+  EXPECT_TRUE(old_read_after_half.load());
+  // Every key crossed the one-slot -> kInitialCapacity transition.
+  EXPECT_GE(GetChainWriteStats().republishes - republishes_before, kKeys);
+  for (ObjectKey k = 0; k < kKeys; ++k) {
+    const auto latest = store.Find(k)->ReadLatest();
+    ASSERT_TRUE(latest.ok());
+    EXPECT_EQ(latest->version, kRounds * kStride);
+  }
+  EpochManager::Global().Advance();
 }
 
 // ---------------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -739,6 +740,60 @@ TEST(ServerHarnessTest, StatsOpExportsCounters) {
   }
   EXPECT_TRUE(saw_commits);
   EXPECT_TRUE(saw_lag);
+}
+
+// The storage gauges an operator divides to get bytes per key from
+// outside the process: they must match the store exactly and reading
+// them must change nothing.
+TEST(ServerHarnessTest, StatsOpExportsStorageGauges) {
+  DatabaseOptions opts = BaseOptions();
+  opts.preload_keys = 1000;
+  opts.initial_value = Value(100, 'p');
+  Database db(opts);
+  ServerHarness h(&db, nullptr, ServiceOptions());
+
+  auto wire_stats = [&](uint64_t id) {
+    Request stats = MakeStats();
+    stats.request_id = id;
+    h.SendRequest(stats);
+    EXPECT_TRUE(h.Pump());
+    std::vector<Response> got = h.TakeResponses();
+    std::map<std::string, uint64_t> out;
+    if (got.size() == 1) {
+      for (const auto& [key, value] : got[0].stats) out[key] = value;
+    }
+    return out;
+  };
+  std::map<std::string, uint64_t> s1 = wire_stats(1);
+  const VersionArena::Stats arena = db.store().ArenaStats();
+  EXPECT_EQ(s1["store_keys"], 1000u);
+  // A preloaded key is a one-slot array (48 B) plus its payload (112 B).
+  EXPECT_EQ(s1["arena_bytes_carved"], 1000u * (48 + 112));
+  EXPECT_EQ(s1["arena_bytes_carved"], arena.bytes_carved);
+  EXPECT_EQ(s1["arena_slabs_allocated"], arena.slabs_allocated);
+  EXPECT_GE(s1["arena_slabs_allocated"], 1u);
+  EXPECT_EQ(s1["arena_slabs_recycled"], arena.slabs_recycled);
+  EXPECT_EQ(s1["arena_slabs_freed"], arena.slabs_freed);
+
+  // No side effects: a second read with no traffic between is identical.
+  std::map<std::string, uint64_t> s2 = wire_stats(2);
+  for (const char* gauge :
+       {"store_keys", "arena_bytes_carved", "arena_slabs_allocated",
+        "arena_slabs_recycled", "arena_slabs_freed"}) {
+    ASSERT_EQ(s1.count(gauge), 1u) << gauge;
+    EXPECT_EQ(s2[gauge], s1[gauge]) << gauge;
+  }
+
+  // A write to a new key adds a key and carves its storage.
+  Request rw = MakeBatch(TxnClass::kReadWrite,
+                         {BatchOp{OpCode::kWrite, 5000, "new"}});
+  rw.request_id = 3;
+  h.SendRequest(rw);
+  ASSERT_TRUE(h.Pump());
+  h.TakeResponses();
+  std::map<std::string, uint64_t> s3 = wire_stats(4);
+  EXPECT_EQ(s3["store_keys"], 1001u);
+  EXPECT_GT(s3["arena_bytes_carved"], s1["arena_bytes_carved"]);
 }
 
 // ---------------------------------------------------------------------

@@ -5,9 +5,19 @@
 // slab turnover — a chain carving its storage from a slab arena must be
 // observationally identical to a heap-backed reference model. Seeds
 // sweep wider in CI via MVCC_ARENA_SEEDS.
+//
+// Slabs are mapped straight from the OS and unmapped when the arena is
+// deleted. An ASan build keeps its coverage of the arena's lifetime: it
+// does not track mapped memory, but a late access to a slab after its
+// arena is deleted hits an unmapped page and faults, which ASan reports
+// as it reported a heap-use-after-free on a heap slab.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <map>
@@ -19,6 +29,7 @@
 
 #include "common/epoch.h"
 #include "common/random.h"
+#include "common/sim_hook.h"
 #include "storage/version_arena.h"
 #include "storage/version_chain.h"
 
@@ -69,6 +80,100 @@ TEST(VersionArenaTest, CarvesReleasesAndRecyclesSlabs) {
   for (void* p : blocks) arena->Release(p, kBlock);
   arena->Close();
   DrainEbr();  // let the parked slabs come home so the arena frees itself
+}
+
+// Records the slab counters the arena reports through its observation
+// points, so they can be read after the arena has deleted itself.
+class ArenaObserver : public SimHook {
+ public:
+  explicit ArenaObserver(const void* arena) : arena_(arena) {
+    InstallSimHook(this);
+  }
+  ~ArenaObserver() override { InstallSimHook(nullptr); }
+
+  void SchedulePoint(const char*) override {}
+  void BlockedPoint(const char*) override {}
+  void Observe(const void* source, const char* what, uint64_t a,
+               uint64_t) override {
+    if (source != arena_) return;
+    if (std::strcmp(what, "arena.retire_slab") == 0) retired = a;
+    if (std::strcmp(what, "arena.recycle_slab") == 0) freed = a;
+  }
+
+  uint64_t retired = 0;
+  uint64_t freed = 0;
+
+ private:
+  const void* const arena_;
+};
+
+// True while [addr, addr + bytes) is mapped (msync fails with ENOMEM on
+// an unmapped page).
+bool IsMapped(const void* addr, size_t bytes) {
+  if (msync(const_cast<void*>(addr), bytes, MS_ASYNC) == 0) return true;
+  EXPECT_EQ(errno, ENOMEM);
+  return false;
+}
+
+TEST(VersionArenaTest, MappedSlabsReleaseThroughTheMaskAndUnmapOnDelete) {
+  constexpr size_t kSlab = VersionArena::kDefaultSlabBytes;
+  constexpr size_t kBlock = 1024;
+  VersionArena* arena = VersionArena::Create();
+  ArenaObserver observer(arena);
+  auto slab_of = [](const void* p) {
+    return reinterpret_cast<uintptr_t>(p) & ~(uintptr_t{kSlab} - 1);
+  };
+
+  // Carve one slab full: its first block sits right after the header and
+  // its last one ends on the slab's last byte.
+  std::vector<std::pair<void*, size_t>> first_slab;
+  first_slab.emplace_back(arena->Allocate(kBlock), kBlock);
+  const uintptr_t slab_a = slab_of(first_slab[0].first);
+  const size_t header =
+      reinterpret_cast<uintptr_t>(first_slab[0].first) - slab_a;
+  ASSERT_GT(header, 0u);
+  ASSERT_LT(header, kBlock);
+  std::memset(first_slab[0].first, 0xee, kBlock);  // the slab's first bytes
+  size_t carved = header + kBlock;
+  while (carved < kSlab - kBlock) {
+    const size_t n = std::min(arena->LargeThreshold(), kSlab - kBlock - carved);
+    first_slab.emplace_back(arena->Allocate(n), n);
+    carved += n;
+  }
+  first_slab.emplace_back(arena->Allocate(kBlock), kBlock);
+  const uintptr_t last = reinterpret_cast<uintptr_t>(first_slab.back().first);
+  ASSERT_EQ(last + kBlock, slab_a + kSlab);
+  ASSERT_EQ(slab_of(first_slab.back().first), slab_a);
+  std::memset(first_slab.back().first, 0xee, kBlock);  // and its last bytes
+
+  // The next block opens a second slab and seals the first.
+  void* second = arena->Allocate(kBlock);
+  const uintptr_t slab_b = slab_of(second);
+  ASSERT_NE(slab_b, slab_a);
+  EXPECT_EQ(arena->GetStats().slabs_allocated, 2u);
+
+  // Releasing the first slab's blocks, edge blocks included, must debit
+  // that slab and no other: it dies, and only it.
+  for (size_t i = 0; i < first_slab.size(); ++i) {
+    EXPECT_EQ(arena->GetStats().slabs_retired, 0u) << "block " << i;
+    arena->Release(first_slab[i].first, first_slab[i].second);
+  }
+  EXPECT_EQ(arena->GetStats().slabs_retired, 1u);
+  arena->Release(second, kBlock);  // the open slab keeps its open bias
+  EXPECT_EQ(arena->GetStats().slabs_retired, 1u);
+  DrainEbr();
+  EXPECT_EQ(arena->GetStats().slabs_freed, 1u);
+  EXPECT_TRUE(IsMapped(reinterpret_cast<void*>(slab_a), kSlab));
+  EXPECT_TRUE(IsMapped(reinterpret_cast<void*>(slab_b), kSlab));
+
+  // Close seals the open slab, which dies at once; once the EBR returns
+  // it the arena has every slab home and deletes itself, unmapping them.
+  arena->Close();
+  EXPECT_EQ(observer.retired, 2u);
+  DrainEbr();
+  EXPECT_EQ(observer.freed, observer.retired);
+  EXPECT_FALSE(IsMapped(reinterpret_cast<void*>(slab_a), kSlab));
+  EXPECT_FALSE(IsMapped(reinterpret_cast<void*>(slab_b), kSlab));
 }
 
 TEST(VersionArenaTest, OversizedBlocksTakeTheHeapPath) {
