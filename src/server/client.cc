@@ -178,7 +178,10 @@ Status Client::Reconnect() {
 Status Client::WriteAll(const std::string& bytes) {
   size_t off = 0;
   while (off < bytes.size()) {
-    const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
+    // MSG_NOSIGNAL: a server that closed the connection is an error
+    // return (EPIPE), never a SIGPIPE that ends the calling process.
+    const ssize_t n =
+        ::send(fd_, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<size_t>(n);
       continue;

@@ -2,6 +2,7 @@
 
 #include <errno.h>
 #include <fcntl.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <utility>
@@ -131,8 +132,10 @@ bool Connection::OnReadable() {
 
 bool Connection::OnWritable() {
   while (out_off_ < out_.size()) {
-    const ssize_t n =
-        ::write(fd_, out_.data() + out_off_, out_.size() - out_off_);
+    // MSG_NOSIGNAL: a peer that already closed must cost this
+    // connection (EPIPE below), not the process (SIGPIPE).
+    const ssize_t n = ::send(fd_, out_.data() + out_off_,
+                             out_.size() - out_off_, MSG_NOSIGNAL);
     if (n > 0) {
       core_->stats().bytes_out.fetch_add(static_cast<uint64_t>(n),
                                          std::memory_order_relaxed);

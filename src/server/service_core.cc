@@ -788,14 +788,15 @@ Response ServiceCore::DoStats(const Request& req) {
   resp.stats = stats_.Snapshot();
   Database* const db = this->db();
   resp.stats.emplace_back("visibility_lag", db->VisibilityLag());
-  // Decentralized-visibility introspection: the admission path reads the
-  // CACHED floor (one load); Stats is the cold path, so refresh here —
-  // every Stats round-trip doubles as a floor publish.
-  VisibilitySource& vc = db->version_control();
-  resp.stats.emplace_back("visibility_floor", vc.RefreshFloor());
+  // Decentralized-visibility introspection. Start() is a pure fold on
+  // every core, so reading stats publishes nothing (the cached floor the
+  // admission path reads is left to its own refreshers). Watermarks only
+  // rise, so each one loaded after the fold is at or above it.
+  const VisibilitySource& vc = db->version_control();
+  const TxnNumber floor = vc.Start();
+  resp.stats.emplace_back("visibility_floor", floor);
   resp.stats.emplace_back("visibility_shards", vc.ShardCount());
   if (vc.ShardCount() > 1) {
-    const TxnNumber floor = vc.CachedFloor();
     for (size_t s = 0; s < vc.ShardCount(); ++s) {
       const TxnNumber mark = vc.ShardWatermark(s);
       resp.stats.emplace_back("shard_" + std::to_string(s) + "_watermark",
@@ -822,6 +823,12 @@ Response ServiceCore::DoStats(const Request& req) {
   resp.stats.emplace_back("arena_slabs_allocated", arena.slabs_allocated);
   resp.stats.emplace_back("arena_slabs_recycled", arena.slabs_recycled);
   resp.stats.emplace_back("arena_slabs_freed", arena.slabs_freed);
+  // The ordered index's nodes: index_bytes / store_keys is its share of
+  // the per-key footprint.
+  const BPlusTree::Footprint index = store.IndexFootprint();
+  resp.stats.emplace_back("index_leaves", index.leaves);
+  resp.stats.emplace_back("index_interiors", index.interiors);
+  resp.stats.emplace_back("index_bytes", index.bytes);
   if (router_ != nullptr) {
     resp.stats.emplace_back("router_reads_to_replica",
                             router_->reads_to_replica());

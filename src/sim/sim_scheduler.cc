@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/epoch.h"
 
 namespace mvcc {
 namespace sim {
@@ -264,6 +265,13 @@ void SimScheduler::Run() {
   MVCC_CHECK(!ran_);
   ran_ = true;
   MVCC_CHECK(InstalledSimHook() == nullptr);
+  // Start from an empty reclamation backlog. The epoch manager is
+  // process-global and auto-advances on backlog size, so a backlog left
+  // by earlier work in the process would move every observed
+  // "ebr.advance" and make same-seed runs hash apart. Nothing is pinned
+  // between runs, so a few advances age every retired object out.
+  EpochManager& ebr = EpochManager::Global();
+  for (int i = 0; i < 3 && ebr.retired_count() > 0; ++i) ebr.Advance();
   InstallSimHook(this);
   for (auto& task : tasks_) {
     task->thread = std::thread(&SimScheduler::TaskMain, this, task.get());

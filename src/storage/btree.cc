@@ -5,6 +5,8 @@
 #include <limits>
 #include <mutex>
 
+#include "common/check.h"
+
 namespace mvcc {
 
 namespace {
@@ -20,6 +22,31 @@ inline uint32_t LowerBound(const ObjectKey* keys, uint32_t count,
                            ObjectKey key) {
   return static_cast<uint32_t>(std::lower_bound(keys, keys + count, key) -
                                keys);
+}
+
+// Nodes needed for `total` entries at up to `cap` per node (an empty
+// level is one empty root leaf).
+inline size_t NodeCount(size_t total, size_t cap) {
+  return total == 0 ? 1 : (total + cap - 1) / cap;
+}
+
+// Entries in node `i` when `total` entries fill nodes of `cap` left to
+// right: every node is full except the last two, which share the rest
+// so that both hold at least `min` (the rest exceeds cap, and
+// cap >= 2 * min - 1, so half of it always suffices). A lone node is
+// the root and takes everything.
+inline uint32_t PlannedSize(size_t total, size_t cap, size_t min, size_t i) {
+  const size_t nodes = NodeCount(total, cap);
+  if (nodes == 1) return static_cast<uint32_t>(total);
+  if (i + 2 < nodes) return static_cast<uint32_t>(cap);
+  const size_t rest = total - (nodes - 2) * cap;
+  const size_t last = rest - cap >= min ? rest - cap : rest / 2;
+  return static_cast<uint32_t>(i + 1 == nodes ? last : rest - last);
+}
+
+inline void Bump(std::atomic<size_t>& counter) {
+  counter.store(counter.load(std::memory_order_relaxed) + 1,
+                std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -118,6 +145,7 @@ bool BPlusTree::Insert(ObjectKey key, VersionChain* chain) {
 
   const uint32_t total = leaf->count + 1;  // kMaxKeys + 1 combined keys
   const uint32_t mid = total / 2;
+  Bump(leaves_);
   auto* left = new LeafNode(mid);
   auto* right = new LeafNode(total - mid);
   for (uint32_t i = 0; i < total; ++i) {
@@ -157,6 +185,7 @@ bool BPlusTree::Insert(ObjectKey key, VersionChain* chain) {
       new_root->children[1].store(rchild, std::memory_order_relaxed);
       root_.store(new_root, std::memory_order_release);
       height_.fetch_add(1, std::memory_order_release);
+      Bump(interiors_);
       break;
     }
     InteriorNode* parent = path[parent_level].node;
@@ -222,6 +251,7 @@ bool BPlusTree::Insert(ObjectKey key, VersionChain* chain) {
                                              std::memory_order_relaxed);
 
     replaced[nreplaced++] = parent;
+    Bump(interiors_);
     lchild = pleft;
     rchild = pright;
     sep = cseps[smid];
@@ -233,6 +263,14 @@ bool BPlusTree::Insert(ObjectKey key, VersionChain* chain) {
   }
   size_.fetch_add(1, std::memory_order_release);
   return true;
+}
+
+BPlusTree::Footprint BPlusTree::footprint() const {
+  Footprint fp;
+  fp.leaves = leaves_.load(std::memory_order_relaxed);
+  fp.interiors = interiors_.load(std::memory_order_relaxed);
+  fp.bytes = fp.leaves * sizeof(LeafNode) + fp.interiors * sizeof(InteriorNode);
+  return fp;
 }
 
 bool BPlusTree::Contains(ObjectKey key) const {
@@ -260,6 +298,81 @@ VersionChain* BPlusTree::FindChain(ObjectKey key) const {
   const uint32_t pos = LowerBound(leaf->keys, leaf->count, key);
   if (pos < leaf->count && leaf->keys[pos] == key) return leaf->chains[pos];
   return nullptr;
+}
+
+// ---------------------------------------------------------------------------
+// BulkLoader
+
+BPlusTree::BulkLoader::BulkLoader(BPlusTree* tree, size_t n)
+    : tree_(tree), n_(n) {
+  MVCC_CHECK(tree->size() == 0);
+  level_.reserve(NodeCount(n, kMaxKeys));
+}
+
+BPlusTree::BulkLoader::~BulkLoader() {
+  if (finished_) return;
+  // Nothing was published: the nodes built so far are private.
+  delete leaf_;
+  for (const Child& c : level_) FreeNode(c.node);
+}
+
+void BPlusTree::BulkLoader::Add(ObjectKey key, VersionChain* chain) {
+  MVCC_CHECK(added_ < n_ && !finished_);
+  MVCC_CHECK(added_ == 0 || key > last_);
+  if (leaf_ == nullptr) {
+    leaf_ = new LeafNode(PlannedSize(n_, kMaxKeys, kMinKeys, level_.size()));
+  }
+  leaf_->keys[fill_] = key;
+  leaf_->chains[fill_] = chain;
+  last_ = key;
+  ++added_;
+  if (++fill_ == leaf_->count) {
+    level_.push_back({leaf_->keys[0], leaf_});
+    leaf_ = nullptr;
+    fill_ = 0;
+  }
+}
+
+void BPlusTree::BulkLoader::Finish() {
+  MVCC_CHECK(added_ == n_ && !finished_);
+  finished_ = true;
+  if (n_ == 0) return;  // the empty root leaf already is the tree
+  const size_t leaves = level_.size();
+  size_t interiors = 0;
+  int height = 1;
+  // Each pass turns one level's nodes into their parents. Separators
+  // are each right child's smallest key: keys equal to a separator
+  // live in the right child, as Insert's upper_bound descent expects.
+  while (level_.size() > 1) {
+    const size_t total = level_.size();
+    std::vector<Child> up;
+    up.reserve(NodeCount(total, kMaxKeys + 1));
+    for (size_t next = 0; next < total;) {
+      const uint32_t kids =
+          PlannedSize(total, kMaxKeys + 1, kMinKeys + 1, up.size());
+      auto* in = new InteriorNode(kids - 1);
+      for (uint32_t c = 0; c < kids; ++c) {
+        if (c > 0) in->seps[c - 1] = level_[next + c].first;
+        in->children[c].store(level_[next + c].node,
+                              std::memory_order_relaxed);
+      }
+      up.push_back({level_[next].first, in});
+      next += kids;
+    }
+    interiors += up.size();
+    level_.swap(up);
+    ++height;
+  }
+
+  std::lock_guard<SpinLatch> lock(tree_->writer_latch_);
+  Node* empty = tree_->root_.load(std::memory_order_relaxed);
+  MVCC_CHECK(empty->leaf && empty->count == 0);
+  tree_->root_.store(level_[0].node, std::memory_order_release);
+  tree_->height_.store(height, std::memory_order_release);
+  tree_->leaves_.store(leaves, std::memory_order_relaxed);
+  tree_->interiors_.store(interiors, std::memory_order_relaxed);
+  tree_->size_.store(n_, std::memory_order_release);
+  EpochManager::Global().Retire(empty, &FreeNode);
 }
 
 // ---------------------------------------------------------------------------
@@ -338,7 +451,7 @@ void BPlusTree::ScanCursor::ClampToHi() {
 // Invariants
 
 int BPlusTree::Check(const Node* node, bool is_root, ObjectKey lo,
-                     ObjectKey hi) const {
+                     ObjectKey hi, Footprint* fp) const {
   const ObjectKey* keys;
   if (node->leaf) {
     keys = static_cast<const LeafNode*>(node)->keys;
@@ -354,7 +467,11 @@ int BPlusTree::Check(const Node* node, bool is_root, ObjectKey lo,
   for (uint32_t i = 0; i < node->count; ++i) {
     if (keys[i] < lo || keys[i] > hi) return -1;
   }
-  if (node->leaf) return 0;
+  if (node->leaf) {
+    ++fp->leaves;
+    return 0;
+  }
+  ++fp->interiors;
   auto* in = static_cast<const InteriorNode*>(node);
   if (is_root && in->count == 0) return -1;
   int depth = -2;
@@ -365,7 +482,7 @@ int BPlusTree::Check(const Node* node, bool is_root, ObjectKey lo,
     const ObjectKey child_lo = i == 0 ? lo : in->seps[i - 1];
     const ObjectKey child_hi = i == in->count ? hi : in->seps[i] - 1;
     const Node* child = in->children[i].load(std::memory_order_acquire);
-    const int child_depth = Check(child, false, child_lo, child_hi);
+    const int child_depth = Check(child, false, child_lo, child_hi, fp);
     if (child_depth < 0) return -1;
     if (depth == -2) {
       depth = child_depth;
@@ -378,11 +495,17 @@ int BPlusTree::Check(const Node* node, bool is_root, ObjectKey lo,
 
 bool BPlusTree::CheckInvariants() const {
   EpochGuard guard;
+  Footprint walked;
   const int depth = Check(root_.load(std::memory_order_acquire),
                           /*is_root=*/true, 0,
-                          std::numeric_limits<ObjectKey>::max());
+                          std::numeric_limits<ObjectKey>::max(), &walked);
   if (depth < 0) return false;
   if (depth + 1 != height()) return false;
+  // The gauges must count exactly the live nodes (at quiesce, as below).
+  const Footprint gauges = footprint();
+  if (walked.leaves != gauges.leaves || walked.interiors != gauges.interiors) {
+    return false;
+  }
   // A full cursor walk must enumerate exactly size() keys, strictly
   // ascending. (Meaningful at quiesce; under concurrent inserts the
   // two are sampled at different instants.)

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "common/epoch.h"
 #include "common/ids.h"
@@ -38,7 +39,9 @@ class VersionChain;
 //
 // Insert-only also means no tombstones, no merges, no underflow
 // rebalancing: the only structural mutations are leaf copy and split,
-// which keeps the COW path auditable.
+// which keeps the COW path auditable. An empty tree can instead be
+// built bottom-up in one pass (BulkLoader): full nodes, published with
+// one release store of the root.
 //
 // Shape invariants (verified by CheckInvariants(), exercised by the
 // property tests):
@@ -76,6 +79,16 @@ class BPlusTree {
 
   size_t size() const { return size_.load(std::memory_order_acquire); }
   int height() const { return height_.load(std::memory_order_acquire); }
+
+  // Live node counts and the bytes they occupy (memory gauges).
+  // Maintained under the writer latch and read with relaxed loads, so a
+  // read racing an insert may pair counts from either side of it.
+  struct Footprint {
+    size_t leaves = 0;
+    size_t interiors = 0;
+    size_t bytes = 0;
+  };
+  Footprint footprint() const;
 
   // Full structural validation of the currently published tree; false
   // means a bug. Takes its own EpochGuard; safe (though racy in
@@ -161,6 +174,41 @@ class BPlusTree {
     return ScanCursor(this, lo, hi);
   }
 
+  // Builds an EMPTY tree bottom-up from exactly `n` entries handed to
+  // Add() in strictly ascending key order (MVCC_CHECK). Leaves are
+  // filled to kMaxKeys and interiors to kMaxKeys + 1 children, left to
+  // right; the last two nodes of each level share what remains so both
+  // keep at least kMinKeys. Nothing is visible until Finish() publishes
+  // the root with one release store and retires the empty root leaf,
+  // so concurrent readers see either the empty tree or all n keys. The
+  // tree must stay insert-free from construction to Finish(); a loader
+  // destroyed unfinished frees what it built and leaves the tree empty.
+  class BulkLoader {
+   public:
+    BulkLoader(BPlusTree* tree, size_t n);
+    ~BulkLoader();
+    BulkLoader(const BulkLoader&) = delete;
+    BulkLoader& operator=(const BulkLoader&) = delete;
+
+    void Add(ObjectKey key, VersionChain* chain);
+    void Finish();
+
+   private:
+    struct Child {
+      ObjectKey first;  // smallest key under `node`
+      Node* node;
+    };
+
+    BPlusTree* const tree_;
+    const size_t n_;
+    size_t added_ = 0;
+    ObjectKey last_ = 0;        // last key added
+    LeafNode* leaf_ = nullptr;  // being filled, not yet in level_
+    uint32_t fill_ = 0;
+    std::vector<Child> level_;  // finished nodes of the level being built
+    bool finished_ = false;
+  };
+
  private:
   // EBR deleter: frees exactly one node, never its children (those are
   // either still live or separately retired).
@@ -171,13 +219,18 @@ class BPlusTree {
   static LeafNode* CopyLeafInsert(const LeafNode* leaf, uint32_t pos,
                                   ObjectKey key, VersionChain* chain);
 
-  // Recursive invariant walk; returns subtree leaf depth or -1.
-  int Check(const Node* node, bool is_root, ObjectKey lo, ObjectKey hi) const;
+  // Recursive invariant walk; returns subtree leaf depth or -1, and
+  // counts the nodes it visits into `fp`.
+  int Check(const Node* node, bool is_root, ObjectKey lo, ObjectKey hi,
+            Footprint* fp) const;
 
   SpinLatch writer_latch_;
   std::atomic<Node*> root_;
   std::atomic<size_t> size_{0};
   std::atomic<int> height_{1};
+  // Written only under writer_latch_.
+  std::atomic<size_t> leaves_{1};
+  std::atomic<size_t> interiors_{0};
 };
 
 }  // namespace mvcc

@@ -33,6 +33,12 @@ class KeyIndex {
   // Idempotent: re-inserting an existing key is a no-op.
   void Insert(ObjectKey key, VersionChain* chain) { tree_.Insert(key, chain); }
 
+  // One-pass build of an empty index from `n` ascending entries; see
+  // BPlusTree::BulkLoader.
+  BPlusTree::BulkLoader BulkLoad(size_t n) {
+    return BPlusTree::BulkLoader(&tree_, n);
+  }
+
   // Streaming latch-free cursor over [lo, hi], ascending. The cursor
   // holds an epoch pin for its lifetime; see BPlusTree::ScanCursor for
   // the concurrent-insert guarantees.
@@ -46,6 +52,8 @@ class KeyIndex {
   VersionChain* FindChain(ObjectKey key) const { return tree_.FindChain(key); }
 
   size_t size() const { return tree_.size(); }
+
+  BPlusTree::Footprint footprint() const { return tree_.footprint(); }
 
  private:
   BPlusTree tree_;

@@ -64,11 +64,54 @@ ObjectStore::~ObjectStore() {
   }
 }
 
+size_t ObjectStore::CapacityFor(size_t keys) {
+  size_t capacity = kInitialTableCapacity;
+  while (Overloaded(keys, capacity)) capacity *= 2;
+  return capacity;
+}
+
 void ObjectStore::Preload(uint64_t num_keys, const Value& initial_value) {
-  for (uint64_t key = 0; key < num_keys; ++key) {
-    VersionChain* chain = GetOrCreate(key);
-    chain->Install(Version{/*number=*/0, initial_value, /*writer=*/0});
+  MVCC_CHECK(NumKeys() == 0);
+  if (num_keys == 0) return;
+  // Key k lives in shard k & shard_mask_, so shard s holds every
+  // shards_.size()-th key from s: its count in closed form. Each table
+  // is made once at its final size and filled while still private.
+  const size_t num_shards = shards_.size();
+  auto keys_in = [&](size_t s) -> size_t {
+    return num_keys / num_shards + (s < num_keys % num_shards ? 1 : 0);
+  };
+  std::vector<Table*> tables(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) {
+    tables[s] = Table::Make(CapacityFor(keys_in(s)));
   }
+  // Keys arrive in ascending order, which is exactly what the index's
+  // bottom-up build consumes. Consecutive keys land in different
+  // tables at hashed slots, a cache miss each, so the slot a key
+  // kPrefetchAhead places on is fetched early.
+  BPlusTree::BulkLoader index = index_.BulkLoad(num_keys);
+  const Version initial{/*number=*/0, initial_value, /*writer=*/0};
+  constexpr ObjectKey kPrefetchAhead = 16;
+  for (ObjectKey key = 0; key < num_keys; ++key) {
+    if (key + kPrefetchAhead < num_keys) {
+      const ObjectKey ahead = key + kPrefetchAhead;
+      const Table* t = tables[ahead & shard_mask_];
+      __builtin_prefetch(&t->slots()[HashKey(ahead) & t->mask], /*rw=*/1);
+    }
+    const size_t s = key & shard_mask_;
+    auto* chain = new VersionChain(shards_[s].arena, &versions_);
+    chain->Install(initial);
+    Place(tables[s], key, chain);
+    index.Add(key, chain);
+  }
+  for (size_t s = 0; s < num_shards; ++s) {
+    Shard& shard = shards_[s];
+    std::lock_guard<SpinLatch> guard(shard.latch);
+    Table* empty = shard.table.load(std::memory_order_relaxed);
+    shard.num_keys.store(keys_in(s), std::memory_order_relaxed);
+    shard.table.store(tables[s], std::memory_order_release);
+    EpochManager::Global().Retire(empty, &Table::Free);
+  }
+  index.Finish();
 }
 
 uint64_t ObjectStore::HashKey(ObjectKey key) {
@@ -103,9 +146,7 @@ VersionChain* ObjectStore::Find(ObjectKey key) const {
   return Probe(table, key);
 }
 
-void ObjectStore::InsertLocked(Shard& shard, ObjectKey key,
-                               VersionChain* chain) {
-  Table* table = shard.table.load(std::memory_order_relaxed);
+void ObjectStore::Place(Table* table, ObjectKey key, VersionChain* chain) {
   size_t i = HashKey(key) & table->mask;
   while (table->slots()[i].key.load(std::memory_order_relaxed) != kEmptyKey) {
     i = (i + 1) & table->mask;
@@ -133,32 +174,23 @@ VersionChain* ObjectStore::GetOrCreate(ObjectKey key) {
     chain = Probe(table, key);
     if (chain == nullptr) {
       const size_t keys = shard.num_keys.load(std::memory_order_relaxed);
-      if ((keys + 1) * 10 > table->capacity * 7) {
-        // Load factor cap at 0.7 keeps every probe sequence short and
-        // guarantees empty slots terminate latch-free probes. Build the
-        // doubled table privately, publish with a pointer swap, retire
-        // the generation concurrent probes may still hold.
+      if (Overloaded(keys + 1, table->capacity)) {
+        // Build the doubled table privately, publish with a pointer
+        // swap, retire the generation concurrent probes may still hold.
         Table* grown = Table::Make(table->capacity * 2);
         for (size_t i = 0; i < table->capacity; ++i) {
           const ObjectKey k =
               table->slots()[i].key.load(std::memory_order_relaxed);
           if (k == kEmptyKey) continue;
-          VersionChain* c =
-              table->slots()[i].chain.load(std::memory_order_relaxed);
-          size_t j = HashKey(k) & grown->mask;
-          while (grown->slots()[j].key.load(std::memory_order_relaxed) !=
-                 kEmptyKey) {
-            j = (j + 1) & grown->mask;
-          }
-          grown->slots()[j].chain.store(c, std::memory_order_relaxed);
-          grown->slots()[j].key.store(k, std::memory_order_relaxed);
+          Place(grown, k,
+                table->slots()[i].chain.load(std::memory_order_relaxed));
         }
         shard.table.store(grown, std::memory_order_release);
         EpochManager::Global().Retire(table, &Table::Free);
         table = grown;
       }
       chain = new VersionChain(shard.arena, &versions_);
-      InsertLocked(shard, key, chain);
+      Place(table, key, chain);
       shard.num_keys.store(keys + 1, std::memory_order_relaxed);
       created = true;
     }
@@ -217,6 +249,15 @@ size_t ObjectStore::NumKeys() const {
   size_t total = 0;
   for (const Shard& shard : shards_) {
     total += shard.num_keys.load(std::memory_order_relaxed);
+  }
+  return total;
+}
+
+size_t ObjectStore::TableSlots() const {
+  size_t total = 0;
+  EpochGuard guard;
+  for (const Shard& shard : shards_) {
+    total += shard.table.load(std::memory_order_acquire)->capacity;
   }
   return total;
 }

@@ -41,7 +41,12 @@ class ObjectStore {
   ObjectStore& operator=(const ObjectStore&) = delete;
 
   // Creates keys [0, num_keys) each with one initial version (number 0,
-  // writer T0) holding `initial_value`.
+  // writer T0) holding `initial_value`: the paper's initial database,
+  // written by T0. Requires an empty store (MVCC_CHECK) and no
+  // concurrent writer. Built in bulk: each shard's table is made once
+  // at the capacity the growth rule would reach for its key count, and
+  // the ordered index bottom-up (BPlusTree::BulkLoader); concurrent
+  // readers see either the empty store or all of a shard's keys.
   void Preload(uint64_t num_keys, const Value& initial_value);
 
   // Returns the chain for `key`, or nullptr if the key does not exist.
@@ -70,6 +75,13 @@ class ObjectStore {
 
   // Number of distinct keys.
   size_t NumKeys() const;
+
+  // Slots across every shard's published hash table (memory accounting,
+  // and the growth points tests compare).
+  size_t TableSlots() const;
+
+  // Node counts and bytes of the ordered index (memory gauges).
+  BPlusTree::Footprint IndexFootprint() const { return index_.footprint(); }
 
   // Aggregated slab-arena statistics across all shards (bench and GC
   // reporting: allocation rate, slab recycling, EBR retire batching).
@@ -153,8 +165,20 @@ class ObjectStore {
   // Probes `table` for `key`; nullptr if absent.
   static VersionChain* Probe(const Table* table, ObjectKey key);
 
-  // Inserts under the shard latch; caller verified absence.
-  void InsertLocked(Shard& shard, ObjectKey key, VersionChain* chain);
+  // Places `key` in the first free slot of its probe sequence; caller
+  // verified absence and owns `table` (shard latch held, or the table
+  // is not yet published).
+  static void Place(Table* table, ObjectKey key, VersionChain* chain);
+
+  // Load factor cap at 0.7 keeps every probe sequence short and
+  // guarantees empty slots terminate latch-free probes.
+  static bool Overloaded(size_t keys, size_t capacity) {
+    return keys * 10 > capacity * 7;
+  }
+
+  // The capacity a table grown by doubling from kInitialTableCapacity
+  // reaches after `keys` inserts.
+  static size_t CapacityFor(size_t keys);
 
   static constexpr size_t kInitialTableCapacity = 16;
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <limits>
 #include <set>
 #include <thread>
@@ -207,6 +208,132 @@ TEST(BPlusTreeTest, CursorIsMovable) {
 }
 
 // ---------------------------------------------------------------------
+// Bulk build
+// ---------------------------------------------------------------------
+
+// Bulk-loaded key i is 2i + 2: key 0, key 1, every odd key and every
+// key past the last stay free for COW inserts before, inside and after
+// the loaded range.
+ObjectKey BulkKey(size_t i) { return 2 * static_cast<ObjectKey>(i) + 2; }
+
+// A distinct fake chain per key; the tree never dereferences it.
+VersionChain* FakeChain(ObjectKey key) {
+  return reinterpret_cast<VersionChain*>(static_cast<uintptr_t>(key) * 8 + 8);
+}
+
+void BulkLoad(BPlusTree* tree, size_t n) {
+  BPlusTree::BulkLoader loader(tree, n);
+  for (size_t i = 0; i < n; ++i) loader.Add(BulkKey(i), FakeChain(BulkKey(i)));
+  loader.Finish();
+}
+
+// Height of a tree of full nodes: leaves hold kMaxKeys keys, interiors
+// kMaxKeys + 1 children.
+int FullHeight(size_t n) {
+  int height = 1;
+  size_t nodes = (n + BPlusTree::kMaxKeys - 1) / BPlusTree::kMaxKeys;
+  while (nodes > 1) {
+    nodes = (nodes + BPlusTree::kMaxKeys) / (BPlusTree::kMaxKeys + 1);
+    ++height;
+  }
+  return height;
+}
+
+class BPlusTreeBulkLoad : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(BPlusTreeBulkLoad, BuildsFullNodesThatLaterInsertsKeepValid) {
+  const size_t n = GetParam();
+  BPlusTree tree;
+  BulkLoad(&tree, n);
+
+  ASSERT_EQ(tree.size(), n);
+  ASSERT_TRUE(tree.CheckInvariants());  // incl. kMinKeys on every node
+  EXPECT_EQ(tree.height(), FullHeight(n));
+  const BPlusTree::Footprint fp = tree.footprint();
+  // Every leaf full but the last two: ceil(n / kMaxKeys) leaves.
+  EXPECT_EQ(fp.leaves,
+            n == 0 ? 1 : (n + BPlusTree::kMaxKeys - 1) / BPlusTree::kMaxKeys);
+  EXPECT_EQ(fp.interiors == 0, tree.height() == 1);
+
+  // The cursor yields every key in order with its chain; probes are
+  // exact, hits and misses alike.
+  size_t i = 0;
+  for (auto cur = tree.Scan(0, std::numeric_limits<ObjectKey>::max());
+       cur.Valid(); cur.Next(), ++i) {
+    ASSERT_LT(i, n);
+    ASSERT_EQ(cur.key(), BulkKey(i));
+    ASSERT_EQ(cur.chain(), FakeChain(BulkKey(i)));
+  }
+  ASSERT_EQ(i, n);
+  for (size_t j = 0; j < n; ++j) {
+    ASSERT_EQ(tree.FindChain(BulkKey(j)), FakeChain(BulkKey(j))) << j;
+    ASSERT_EQ(tree.FindChain(BulkKey(j) + 1), nullptr) << j;
+  }
+  EXPECT_EQ(tree.FindChain(0), nullptr);
+  EXPECT_EQ(tree.FindChain(1), nullptr);
+
+  // COW inserts before, inside and after the loaded range: full leaves
+  // split from the first insert on, and every invariant still holds.
+  std::set<ObjectKey> want;
+  for (size_t j = 0; j < n; ++j) want.insert(BulkKey(j));
+  std::vector<ObjectKey> more = {0, 1, BulkKey(n), BulkKey(n) + 1};
+  for (size_t j = 0; j < n; j += 3) more.push_back(BulkKey(j) + 1);
+  for (ObjectKey k : more) {
+    ASSERT_TRUE(tree.Insert(k, FakeChain(k))) << k;
+    want.insert(k);
+  }
+  for (size_t j = 0; j < n; j += 7) {
+    ASSERT_FALSE(tree.Insert(BulkKey(j), nullptr));  // already present
+  }
+  ASSERT_TRUE(tree.CheckInvariants());
+  EXPECT_EQ(tree.size(), want.size());
+  EXPECT_EQ(Collect(tree, 0, std::numeric_limits<ObjectKey>::max()),
+            std::vector<ObjectKey>(want.begin(), want.end()));
+  for (ObjectKey k : more) ASSERT_EQ(tree.FindChain(k), FakeChain(k)) << k;
+}
+
+constexpr size_t kMax = BPlusTree::kMaxKeys;
+INSTANTIATE_TEST_SUITE_P(
+    Sizes, BPlusTreeBulkLoad,
+    ::testing::Values(
+        size_t{0}, size_t{1}, BPlusTree::kMinKeys, kMax, kMax + 1,
+        kMax * 5 + 3,                   // short last leaf
+        kMax * (kMax + 1) + 2 * kMax,   // short last interior (height 3)
+        kMax * (kMax + 1) * 3 + 1,      // short last leaf and interior
+        kMax * (kMax + 1) * (kMax + 1) + kMax + 7));  // height 4
+
+TEST(BPlusTreeTest, BulkLoadRejectsUnorderedKeysAndNonEmptyTrees) {
+  EXPECT_DEATH(
+      {
+        BPlusTree tree;
+        BPlusTree::BulkLoader loader(&tree, 2);
+        loader.Add(5, nullptr);
+        loader.Add(5, nullptr);
+      },
+      "MVCC_CHECK failed");
+  EXPECT_DEATH(
+      {
+        BPlusTree tree;
+        tree.Insert(1, nullptr);
+        BPlusTree::BulkLoader loader(&tree, 1);
+      },
+      "MVCC_CHECK failed");
+}
+
+TEST(BPlusTreeTest, UnfinishedBulkLoadLeavesTheTreeEmpty) {
+  BPlusTree tree;
+  {
+    BPlusTree::BulkLoader loader(&tree, 1000);
+    for (size_t i = 0; i < 500; ++i) loader.Add(BulkKey(i), nullptr);
+  }  // destroyed unfinished: frees its private nodes (ASan: no leak)
+  EXPECT_EQ(tree.size(), 0u);
+  EXPECT_TRUE(tree.CheckInvariants());
+  BulkLoad(&tree, 100);
+  EXPECT_EQ(tree.size(), 100u);
+  EXPECT_TRUE(tree.CheckInvariants());
+}
+
+// ---------------------------------------------------------------------
 // Concurrency
 // ---------------------------------------------------------------------
 
@@ -265,6 +392,66 @@ TEST(BPlusTreeConcurrency, ReadersTraverseDuringSplits) {
   for (auto& t : readers) t.join();
   EXPECT_GT(scans.load(), 0u);
   EXPECT_EQ(tree.size(), kSpan);
+  EXPECT_TRUE(tree.CheckInvariants());
+}
+
+// Scanners stream while the tree is bulk-built under them and while a
+// writer then COW-inserts keys past the loaded range. A scan sees the
+// empty tree or every loaded key in its window, never part of the load.
+// Run under TSan in CI: the bulk publish is one release store of the
+// root, so a reader that sees the root must see every node below it.
+TEST(BPlusTreeConcurrency, ScannersStreamAcrossBulkLoadAndLaterInserts) {
+  BPlusTree tree;
+  constexpr size_t kLoaded = 20000;
+  const ObjectKey last_loaded = BulkKey(kLoaded - 1);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> full_scans{0};
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 3; ++r) {
+    readers.emplace_back([&, r] {
+      Random rng(0xB01D + r);
+      while (!stop.load(std::memory_order_acquire)) {
+        const size_t first = rng.Uniform(kLoaded);
+        const ObjectKey lo = BulkKey(first);
+        const ObjectKey hi = lo + 4096;  // may run past the loaded range
+        uint64_t loaded_seen = 0;
+        ObjectKey prev = 0;
+        bool first_key = true;
+        for (auto cur = tree.Scan(lo, hi); cur.Valid(); cur.Next()) {
+          const ObjectKey k = cur.key();
+          ASSERT_GE(k, lo);
+          ASSERT_LE(k, hi);
+          if (!first_key) {
+            ASSERT_GT(k, prev);  // strictly ascending
+          }
+          first_key = false;
+          prev = k;
+          if (k <= last_loaded) {
+            ASSERT_EQ(k % 2, 0u);
+            ASSERT_EQ(cur.chain(), FakeChain(k));
+            ++loaded_seen;
+          }
+        }
+        const uint64_t loaded_in_window =
+            std::min<uint64_t>(kLoaded - first, 4096 / 2 + 1);
+        ASSERT_TRUE(loaded_seen == 0 || loaded_seen == loaded_in_window)
+            << "partial bulk load seen in [" << lo << ", " << hi << "]";
+        if (loaded_seen != 0) full_scans.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+
+  BulkLoad(&tree, kLoaded);
+  for (ObjectKey k = last_loaded + 1; k < last_loaded + 20000; ++k) {
+    ASSERT_TRUE(tree.Insert(k, FakeChain(k)));
+  }
+  while (full_scans.load(std::memory_order_relaxed) < 3) {
+    std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(tree.size(), kLoaded + 20000 - 1);
   EXPECT_TRUE(tree.CheckInvariants());
 }
 

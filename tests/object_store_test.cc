@@ -1,6 +1,7 @@
 #include "storage/object_store.h"
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -70,6 +71,80 @@ TEST(ObjectStoreTest, ColdKeyCarvesOneSlotAndFirstWriteRepublishesOnce) {
   EXPECT_EQ(GetChainWriteStats().republishes - w2.republishes, 1u);
   EXPECT_EQ(chain->Read(1)->version, 1u);
   EXPECT_EQ(chain->Read(0)->value, value);
+}
+
+// Preload builds the store in bulk; it must leave exactly what the
+// key-at-a-time path leaves: every key, one version each, found by a
+// probe and by a scan alike, at 160 B carved per 100-byte cold key.
+TEST(ObjectStoreTest, BulkPreloadMatchesProbesScansAndBudget) {
+  constexpr uint64_t kKeys = 10007;  // not a multiple of shards or fanout
+  ObjectStore store(8);
+  store.Preload(kKeys, Value(100, 'v'));
+  EXPECT_EQ(store.NumKeys(), kKeys);
+  EXPECT_EQ(store.TotalVersionsSlow(), kKeys);
+  EXPECT_EQ(store.TotalVersions(), kKeys);
+  EXPECT_EQ(store.ArenaStats().bytes_carved, kKeys * 160);
+
+  ObjectKey next = 0;
+  for (auto cur = store.Scan(0, std::numeric_limits<ObjectKey>::max());
+       cur.Valid(); cur.Next(), ++next) {
+    ASSERT_EQ(cur.key(), next);
+    ASSERT_NE(cur.chain(), nullptr);
+    ASSERT_EQ(store.Find(next), cur.chain()) << next;
+    ASSERT_EQ(cur.chain()->size(), 1u);
+  }
+  EXPECT_EQ(next, kKeys);
+  EXPECT_EQ(store.Find(kKeys), nullptr);
+  // Full leaves: ceil(N / kMaxKeys) of them.
+  EXPECT_EQ(store.IndexFootprint().leaves,
+            (kKeys + BPlusTree::kMaxKeys - 1) / BPlusTree::kMaxKeys);
+}
+
+// Each shard's table is made once at the capacity the 0.7 load-factor
+// doubling rule would reach, so memory, probe lengths and the next
+// growth point match a store built key by key.
+TEST(ObjectStoreTest, BulkPreloadSizesTablesLikeKeyByKeyGrowth) {
+  {
+    // One shard, exact: 11 keys fit 16 slots; the 12th doubles them.
+    ObjectStore store(1);
+    store.Preload(11, "x");
+    EXPECT_EQ(store.TableSlots(), 16u);
+    store.GetOrCreate(11);
+    EXPECT_EQ(store.TableSlots(), 32u);
+  }
+  for (uint64_t keys : {0, 1, 11, 12, 45, 46, 700, 2867, 2868, 5000}) {
+    ObjectStore bulk(4);
+    ObjectStore stepwise(4);
+    bulk.Preload(keys, "x");
+    for (ObjectKey k = 0; k < keys; ++k) {
+      stepwise.GetOrCreate(k)->Install(Version{0, "x", 0});
+    }
+    ASSERT_EQ(bulk.TableSlots(), stepwise.TableSlots()) << keys;
+    for (ObjectKey k = keys; k < keys + 3000; ++k) {
+      bulk.GetOrCreate(k);
+      stepwise.GetOrCreate(k);
+      ASSERT_EQ(bulk.TableSlots(), stepwise.TableSlots())
+          << "preload " << keys << ", after key " << k;
+    }
+    EXPECT_EQ(bulk.NumKeys(), keys + 3000);
+  }
+}
+
+TEST(ObjectStoreDeathTest, PreloadRequiresAnEmptyStore) {
+  EXPECT_DEATH(
+      {
+        ObjectStore store(4);
+        store.GetOrCreate(3);
+        store.Preload(10, "x");
+      },
+      "MVCC_CHECK failed");
+  EXPECT_DEATH(
+      {
+        ObjectStore store(4);
+        store.Preload(10, "x");
+        store.Preload(10, "x");
+      },
+      "MVCC_CHECK failed");
 }
 
 TEST(ObjectStoreTest, FindMissingReturnsNull) {

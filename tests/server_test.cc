@@ -4,6 +4,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -533,6 +534,20 @@ TEST(ServerHarnessTest, MidTxnDisconnectAbortsAndReleasesLocks) {
   EXPECT_EQ(*value, "after");
 }
 
+// A client that goes away before its response is written must cost its
+// connection, not the process: the write fails with EPIPE instead of
+// raising SIGPIPE, whose default action ends the whole server.
+TEST(ServerHarnessTest, ResponseToAClosedPeerClosesOnlyTheConnection) {
+  Database db(BaseOptions());
+  ServerHarness h(&db, nullptr, ServiceOptions());
+  Request stats = MakeStats();
+  stats.request_id = 1;
+  h.SendRequest(stats);
+  h.DisconnectClient();  // the request is still buffered toward the server
+  EXPECT_FALSE(h.Pump());
+  EXPECT_TRUE(h.closed());
+}
+
 TEST(ServerHarnessTest, BatchOneShotTransactions) {
   Database db(BaseOptions());
   ServerHarness h(&db, nullptr, ServiceOptions());
@@ -775,11 +790,25 @@ TEST(ServerHarnessTest, StatsOpExportsStorageGauges) {
   EXPECT_EQ(s1["arena_slabs_recycled"], arena.slabs_recycled);
   EXPECT_EQ(s1["arena_slabs_freed"], arena.slabs_freed);
 
+  // The ordered index, bulk-built by the preload: full leaves, so
+  // ceil(N / kMaxKeys) of them, and bytes that match the node counts.
+  const BPlusTree::Footprint index = db.store().IndexFootprint();
+  const size_t full_leaves =
+      (1000 + BPlusTree::kMaxKeys - 1) / BPlusTree::kMaxKeys;
+  EXPECT_NEAR(static_cast<double>(s1["index_leaves"]),
+              static_cast<double>(full_leaves), 1.0);
+  EXPECT_EQ(s1["index_leaves"], index.leaves);
+  EXPECT_EQ(s1["index_interiors"], index.interiors);
+  EXPECT_EQ(s1["index_bytes"], index.bytes);
+  EXPECT_GE(s1["index_interiors"], 1u);
+  EXPECT_GT(s1["index_bytes"], 0u);
+
   // No side effects: a second read with no traffic between is identical.
   std::map<std::string, uint64_t> s2 = wire_stats(2);
   for (const char* gauge :
        {"store_keys", "arena_bytes_carved", "arena_slabs_allocated",
-        "arena_slabs_recycled", "arena_slabs_freed"}) {
+        "arena_slabs_recycled", "arena_slabs_freed", "index_leaves",
+        "index_interiors", "index_bytes"}) {
     ASSERT_EQ(s1.count(gauge), 1u) << gauge;
     EXPECT_EQ(s2[gauge], s1[gauge]) << gauge;
   }
@@ -794,6 +823,53 @@ TEST(ServerHarnessTest, StatsOpExportsStorageGauges) {
   std::map<std::string, uint64_t> s3 = wire_stats(4);
   EXPECT_EQ(s3["store_keys"], 1001u);
   EXPECT_GT(s3["arena_bytes_carved"], s1["arena_bytes_carved"]);
+}
+
+// Reading stats must publish nothing: on the sharded visibility core
+// the floor is reported from a pure fold, and the cached floor the
+// admission path reads stays where its own refreshers left it.
+TEST(ServerHarnessTest, StatsReadLeavesTheCachedFloorUnchanged) {
+  DatabaseOptions opts = BaseOptions();
+  opts.vc_core = VcCoreKind::kSharded;
+  opts.vc_shards = 4;
+  Database db(opts);
+  ServerHarness h(&db, nullptr, ServiceOptions());
+  VisibilitySource& vc = db.version_control();
+  ASSERT_GT(vc.ShardCount(), 1u);
+
+  uint64_t id = 1;
+  for (ObjectKey key = 0; key < 8; ++key) {
+    Request rw = MakeBatch(TxnClass::kReadWrite,
+                           {BatchOp{OpCode::kWrite, key, "w"}});
+    rw.request_id = id++;
+    h.SendRequest(rw);
+  }
+  ASSERT_TRUE(h.Pump());
+  h.TakeResponses();
+  const TxnNumber cached = vc.CachedFloor();
+  const TxnNumber floor = vc.Start();
+  ASSERT_LT(cached, floor) << "commits left no stale cache to observe";
+
+  for (int read = 0; read < 2; ++read) {
+    Request stats = MakeStats();
+    stats.request_id = id++;
+    h.SendRequest(stats);
+    ASSERT_TRUE(h.Pump());
+    std::vector<Response> got = h.TakeResponses();
+    ASSERT_EQ(got.size(), 1u);
+    std::map<std::string, uint64_t> out;
+    for (const auto& [key, value] : got[0].stats) out[key] = value;
+    EXPECT_EQ(out["visibility_floor"], floor);
+    // Lags are against the reported floor: the straggler shard reads 0.
+    uint64_t min_lag = ~uint64_t{0};
+    for (size_t s = 0; s < vc.ShardCount(); ++s) {
+      const std::string name = "shard_" + std::to_string(s) + "_lag";
+      ASSERT_EQ(out.count(name), 1u) << name;
+      min_lag = std::min<uint64_t>(min_lag, out[name]);
+    }
+    EXPECT_EQ(min_lag, 0u);
+    EXPECT_EQ(vc.CachedFloor(), cached) << "stats read " << read;
+  }
 }
 
 // ---------------------------------------------------------------------
